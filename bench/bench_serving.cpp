@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
-#include "serve/sharded_engine.hpp"
 
 namespace {
 
@@ -128,14 +127,14 @@ std::vector<TopKRequest> requestUniverse() {
 }
 
 /// Closed-loop load generation through the batcher: `clients` threads each
-/// submit-and-wait over a Zipf-popular universe of top-k requests. The
-/// provider may be the single-process Engine or a ShardedEngine.
+/// submit-and-wait over a Zipf-popular universe of top-k requests, against
+/// an unsharded or a sharded engine.
 void serveLoop(benchmark::State& state, std::size_t clients,
                const BatcherOptions& opts,
-               std::shared_ptr<const TopKProvider> provider) {
+               std::shared_ptr<const Engine> engine) {
   const std::vector<TopKRequest> universe = requestUniverse();
   const ZipfSampler zipf(256, 1.1);
-  Batcher batcher(std::move(provider), opts);
+  Batcher batcher(std::move(engine), opts);
 
   constexpr std::size_t kPerClient = 128;
   for (auto _ : state) {
@@ -190,8 +189,8 @@ void BM_ServeTopKBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeTopKBatched)->Arg(4)->UseRealTime();
 
-ShardedEngineOptions shardedOpts() {
-  ShardedEngineOptions so;
+EngineOptions shardedOpts() {
+  EngineOptions so;
   so.numShards = 4;
   so.numReplicas = 2;
   so.backoffMicros = 0;
@@ -209,8 +208,7 @@ void BM_ServeShardedTopK(benchmark::State& state) {
   opts.maxDelayMicros = 200;
   opts.cacheCapacity = 4096;
   serveLoop(state, 4, opts,
-            std::make_shared<const ShardedEngine>(syntheticModel(),
-                                                  shardedOpts()));
+            std::make_shared<const Engine>(syntheticModel(), shardedOpts()));
 }
 BENCHMARK(BM_ServeShardedTopK)->UseRealTime();
 
@@ -218,16 +216,15 @@ void BM_ServeShardedFailover(benchmark::State& state) {
   // Node 1 dies after the 5th dispatched batch and stays dead: the
   // replicated shards fail over and the rest of the run serves off a
   // degraded cluster. Zero queries may fail or shed.
-  ShardedEngineOptions so = shardedOpts();
+  EngineOptions so = shardedOpts();
   so.faults.schedule = {{5, 1}};
-  auto sharded =
-      std::make_shared<const ShardedEngine>(syntheticModel(), so);
+  auto sharded = std::make_shared<const Engine>(syntheticModel(), so);
   BatcherOptions opts;
   opts.maxBatch = 4;
   opts.maxDelayMicros = 200;
   opts.cacheCapacity = 4096;
   serveLoop(state, 4, opts, sharded);
-  const ShardedStats st = sharded->stats();
+  const EngineStats st = sharded->stats();
   state.counters["failovers"] = benchmark::Counter(double(st.failovers));
   state.counters["nodes_killed"] = benchmark::Counter(double(st.nodesKilled));
   // Tail latency across a failover transient jitters far more than the
@@ -245,10 +242,9 @@ void BM_ServeOpenLoopOverload(benchmark::State& state) {
   // shedding: p99 of the *answered* requests stays under the deadline
   // budget, overflow is shed (never failed), and the lost node fails
   // over. This is the configuration the regression gate holds p99 on.
-  ShardedEngineOptions so = shardedOpts();
+  EngineOptions so = shardedOpts();
   so.faults.schedule = {{5, 1}};
-  auto sharded =
-      std::make_shared<const ShardedEngine>(syntheticModel(), so);
+  auto sharded = std::make_shared<const Engine>(syntheticModel(), so);
   BatcherOptions opts;
   opts.maxBatch = 8;
   opts.maxDelayMicros = 200;

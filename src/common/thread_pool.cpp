@@ -82,7 +82,8 @@ void ThreadPool::parallelForImpl(std::size_t n, IndexFn fn, void* ctx) {
     // pool of size 1 can never deadlock on nested parallelFor.
     for (std::size_t i = 1; i < fanout; ++i) tasks_.push(body);
   }
-  cv_.notify_all();
+  // One wake per enqueued helper: a one-worker pool (fanout 1) wakes none.
+  for (std::size_t i = 1; i < fanout; ++i) cv_.notify_one();
   body();  // caller participates
 
   {

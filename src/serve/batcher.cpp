@@ -7,7 +7,6 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
-#include "serve/sharded_engine.hpp"
 
 namespace cstf::serve {
 
@@ -46,7 +45,7 @@ std::string describeRequest(const TopKRequest& r) {
                    fixed.c_str());
 }
 
-std::string serveReportJson(const ServeStats& s, const ShardedStats* sharding,
+std::string serveReportJson(const ServeStats& s, const EngineStats* sharding,
                             const FreshnessStats* freshness) {
   JsonWriter w;
   w.beginObject();
@@ -126,8 +125,8 @@ std::string serveReportJson(const ServeStats& s, const ShardedStats* sharding,
   return w.take();
 }
 
-Batcher::Batcher(std::shared_ptr<const TopKProvider> engine,
-                 BatcherOptions opts, TraceRecorder& trace)
+Batcher::Batcher(std::shared_ptr<const Engine> engine, BatcherOptions opts,
+                 TraceRecorder& trace)
     : opts_(std::move(opts)),
       slo_(SloOptions{opts_.sloP99Micros, opts_.sloWindowMs, 8}),
       trace_(trace),
@@ -266,7 +265,7 @@ std::future<Batcher::ResultPtr> Batcher::submit(TopKRequest req,
   return fut;
 }
 
-void Batcher::reload(std::shared_ptr<const TopKProvider> engine) {
+void Batcher::reload(std::shared_ptr<const Engine> engine) {
   std::uint64_t seq;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -275,7 +274,7 @@ void Batcher::reload(std::shared_ptr<const TopKProvider> engine) {
   reload(std::move(engine), seq);
 }
 
-void Batcher::reload(std::shared_ptr<const TopKProvider> engine,
+void Batcher::reload(std::shared_ptr<const Engine> engine,
                      std::uint64_t modelSeq) {
   CSTF_CHECK(engine != nullptr, "cannot reload a null engine");
   {
@@ -299,7 +298,7 @@ void Batcher::reload(std::shared_ptr<const TopKProvider> engine,
   }
 }
 
-std::shared_ptr<const TopKProvider> Batcher::engine() const {
+std::shared_ptr<const Engine> Batcher::engine() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return engine_;
 }
@@ -387,7 +386,7 @@ void Batcher::dispatchLoop() {
     if (live_.queueDepth != nullptr) {
       live_.queueDepth->set(double(queue_.size()));
     }
-    const std::shared_ptr<const TopKProvider> engine = engine_;
+    const std::shared_ptr<const Engine> engine = engine_;
     const std::uint64_t version = version_;
     const std::uint64_t batchIndex = ++batchesDispatched_;
     lock.unlock();
@@ -452,7 +451,7 @@ void Batcher::dispatchLoop() {
 }
 
 void Batcher::processBatch(std::vector<Pending>& batch,
-                           const std::shared_ptr<const TopKProvider>& engine,
+                           const std::shared_ptr<const Engine>& engine,
                            std::uint64_t version, bool full) {
   TraceSpan span(trace_, "serve:batch", "serve");
 

@@ -55,8 +55,6 @@
 
 namespace cstf::serve {
 
-struct ShardedStats;
-
 struct TopKRequest {
   ModeId mode = 0;
   /// One index per mode; the entry at `mode` is ignored.
@@ -178,18 +176,18 @@ struct FreshnessStats {
 };
 
 /// Render `s` as a cstf-serve-report-v1 JSON document; `sharding`, when
-/// non-null, adds the sharded fabric's state (shards, replicas, failovers);
+/// non-null, adds the engine's shard fabric (shards, replicas, failovers);
 /// `freshness`, when non-null, adds the streaming-publisher SLO object.
 std::string serveReportJson(const ServeStats& s,
-                            const ShardedStats* sharding = nullptr,
+                            const EngineStats* sharding = nullptr,
                             const FreshnessStats* freshness = nullptr);
 
 class Batcher {
  public:
   using ResultPtr = std::shared_ptr<const TopKResult>;
 
-  Batcher(std::shared_ptr<const TopKProvider> engine,
-          BatcherOptions opts = {}, TraceRecorder& trace = globalTrace());
+  Batcher(std::shared_ptr<const Engine> engine, BatcherOptions opts = {},
+          TraceRecorder& trace = globalTrace());
   /// Drains every pending request before returning.
   ~Batcher();
 
@@ -208,14 +206,13 @@ class Batcher {
   /// Swap in a retrained model and invalidate the cache. Requests already
   /// admitted may still be answered by the previous engine; results they
   /// compute are not cached.
-  void reload(std::shared_ptr<const TopKProvider> engine);
+  void reload(std::shared_ptr<const Engine> engine);
   /// Same, tagging the swap with the model's seq (the newest delta seq a
   /// published snapshot contains) so stats()/the report can say *what*
   /// is live, not just that a swap happened.
-  void reload(std::shared_ptr<const TopKProvider> engine,
-              std::uint64_t modelSeq);
+  void reload(std::shared_ptr<const Engine> engine, std::uint64_t modelSeq);
 
-  std::shared_ptr<const TopKProvider> engine() const;
+  std::shared_ptr<const Engine> engine() const;
   ServeStats stats() const;
 
   /// Evaluate the SLO watchdog now (the dispatcher also evaluates it after
@@ -236,7 +233,7 @@ class Batcher {
 
   void dispatchLoop();
   void processBatch(std::vector<Pending>& batch,
-                    const std::shared_ptr<const TopKProvider>& engine,
+                    const std::shared_ptr<const Engine>& engine,
                     std::uint64_t version, bool full);
   void shedExpired(std::vector<Pending>& expired);
   void bindLiveInstruments();
@@ -280,7 +277,7 @@ class Batcher {
   mutable std::mutex mutex_;  // queue + engine + version + stop/dead flags
   std::condition_variable cv_;
   std::deque<Pending> queue_;
-  std::shared_ptr<const TopKProvider> engine_;
+  std::shared_ptr<const Engine> engine_;
   std::uint64_t version_ = 0;
   std::uint64_t modelSeq_ = 0;
   std::uint64_t batchesDispatched_ = 0;

@@ -644,9 +644,11 @@ class Rdd {
   std::vector<T> take(std::size_t n, const std::string& label = "take") const {
     std::vector<T> out;
     if (n == 0) return out;
+    // Parent shuffles materialize first, as their own stages: this stage's
+    // wall time and span cover only its own tasks.
+    ds_->ensureReady();
     const auto t0 = std::chrono::steady_clock::now();
     TraceSpan stageSpan(ctx_->trace(), "result:" + label, "stage");
-    ds_->ensureReady();
     const std::size_t nParts = numPartitions();
     const std::uint64_t stageId = ctx_->metrics().nextStageId();
     const ClusterConfig& cfg = ctx_->config();
@@ -792,9 +794,11 @@ class Rdd {
   void runResultStage(
       const std::string& label,
       const std::function<void(std::size_t, Block<T>)>& sink) const {
+    // Parent shuffles materialize first, as their own stages: this stage's
+    // wall time and span cover only its own tasks.
+    ds_->ensureReady();
     const auto t0 = std::chrono::steady_clock::now();
     TraceSpan stageSpan(ctx_->trace(), "result:" + label, "stage");
-    ds_->ensureReady();
     const std::size_t nParts = numPartitions();
     const std::uint64_t stageId = ctx_->metrics().nextStageId();
     const ClusterConfig& cfg = ctx_->config();

@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "serve/batcher.hpp"
-#include "serve/sharded_engine.hpp"
 
 namespace cstf::serve {
 namespace {
@@ -276,19 +275,19 @@ TEST(Batcher, DispatcherDeathFailsEveryWaiterWithATypedError) {
 }
 
 TEST(Batcher, ShardLossMidStreamNeverLosesOrCorruptsAQuery) {
-  // Chaos: clients hammer a sharded, replicated provider while a node
+  // Chaos: clients hammer a sharded, replicated engine while a node
   // dies mid-stream. Every in-flight query must either complete with the
   // exact single-engine answer (failover) or shed with a typed, counted
   // error — never hang, never return a wrong result.
   const CpModel model = randomModel({50, 20, 20}, 3, 30);
   const Engine reference(CpModel(model), 2);
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.numShards = 3;
   so.numReplicas = 2;
   so.backoffMicros = 0;
   so.threads = 2;
   so.liveMetrics = nullptr;
-  auto sharded = std::make_shared<const ShardedEngine>(CpModel(model), so);
+  auto sharded = std::make_shared<const Engine>(CpModel(model), so);
 
   BatcherOptions opts;
   opts.maxBatch = 8;
@@ -340,13 +339,13 @@ TEST(Batcher, ShardLossMidStreamNeverLosesOrCorruptsAQuery) {
 
 TEST(Batcher, UnreplicatedShardLossIsCountedShedNotFailure) {
   const CpModel model = randomModel({50, 20, 20}, 3, 31);
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.numShards = 3;
   so.numReplicas = 1;
   so.backoffMicros = 0;
   so.threads = 1;
   so.liveMetrics = nullptr;
-  auto sharded = std::make_shared<const ShardedEngine>(CpModel(model), so);
+  auto sharded = std::make_shared<const Engine>(CpModel(model), so);
 
   BatcherOptions opts;
   opts.maxBatch = 4;

@@ -1,6 +1,11 @@
 // Query engine: point predictions bit-identical to the dense
-// reconstruction oracle, batched == point, and top-k exact against brute
-// force — with pruning on or off, at any thread count.
+// reconstruction oracle, batched == point, and top-k exact against a
+// brute-force oracle — with pruning on or off, at any thread count, shard
+// count and replication level, and every sharded layout bit-identical to
+// the unsharded engine. Then the shard fabric: chained-declustering
+// placement, census-driven hot-shard replication, replica failover after
+// node loss, typed shedding when a shard has no replica left, and
+// FaultPlan-driven deterministic kills at batch boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +13,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/metrics_registry.hpp"
 #include "common/rng.hpp"
 #include "serve/engine.hpp"
 #include "tensor/reference_ops.hpp"
@@ -61,12 +68,46 @@ std::vector<TopKEntry> bruteForceTopK(const CpModel& model, ModeId mode,
     for (std::size_t r = 0; r < rank; ++r) s += w[r] * foldedRow(mode, i, r);
     all[i] = {i, s};
   }
-  std::sort(all.begin(), all.end(), [](const TopKEntry& a,
-                                       const TopKEntry& b) {
-    return a.score > b.score || (a.score == b.score && a.index < b.index);
-  });
+  std::sort(all.begin(), all.end(), topKBetter);
   all.resize(std::min(k, all.size()));
   return all;
+}
+
+EngineOptions shardOpts(std::size_t shards, std::size_t replicas,
+                        std::size_t threads = 2) {
+  EngineOptions o;
+  o.numShards = shards;
+  o.numReplicas = replicas;
+  o.backoffMicros = 0;
+  o.threads = threads;
+  o.liveMetrics = nullptr;
+  return o;
+}
+
+/// Random (mode, fixed) probes with k in {1, 5, more than any mode's rows},
+/// pruned and unpruned: every answer must equal the brute-force oracle
+/// exactly — same indices, same scores, same order.
+void expectOracle(const Engine& engine, const CpModel& model,
+                  std::uint64_t seed) {
+  Pcg32 rng(seed);
+  const auto& dims = model.dims;
+  for (ModeId mode = 0; mode < engine.order(); ++mode) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                std::size_t{1000}}) {
+      std::vector<Index> fixed(dims.size());
+      for (ModeId m = 0; m < engine.order(); ++m) {
+        fixed[m] = rng.nextBounded(dims[m]);
+      }
+      const std::vector<TopKEntry> want =
+          bruteForceTopK(model, mode, fixed, k);
+      for (const bool prune : {true, false}) {
+        TopKOptions opts;
+        opts.prune = prune;
+        ASSERT_EQ(engine.topK(mode, fixed, k, opts).entries, want)
+            << "mode " << int(mode) << " k " << k << " prune " << prune;
+      }
+    }
+  }
 }
 
 TEST(Engine, PredictIsBitIdenticalToDenseReconstruction) {
@@ -146,10 +187,8 @@ TEST(Engine, PruningNeverChangesTheAnswer) {
   Pcg32 rng(8);
   TopKOptions pruned;
   pruned.prune = true;
-  pruned.blockRows = 64;
   TopKOptions brute;
   brute.prune = false;
-  brute.blockRows = 64;
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<Index> fixed = {0, rng.nextBounded(40),
                                       rng.nextBounded(24)};
@@ -173,9 +212,7 @@ TEST(Engine, PruningActuallyPrunesOnSkewedModels) {
     for (std::size_t r = 0; r < 4; ++r) model.factors[0](i, r) *= scale;
   }
   const Engine engine(model, 4);
-  TopKOptions opts;
-  opts.blockRows = 128;
-  const TopKResult r = engine.topK(0, {0, 5, 9}, 10, opts);
+  const TopKResult r = engine.topK(0, {0, 5, 9}, 10);
   EXPECT_EQ(r.entries.size(), 10u);
   EXPECT_GT(r.stats.rowsPruned, 1000u)
       << "scanned " << r.stats.rowsScanned;
@@ -186,16 +223,54 @@ TEST(Engine, PruningActuallyPrunesOnSkewedModels) {
   }
 }
 
+TEST(Engine, EveryShardLayoutMatchesBruteForce) {
+  // A 50-row model, and one with fewer rows than the largest shard count
+  // (empty shards must still merge exactly).
+  for (const CpModel& model :
+       {randomModel({50, 20, 20}, 3, 42), randomModel({5, 4, 3}, 2, 7)}) {
+    const std::vector<double> dense =
+        tensor::denseReconstruction(model.dims, model.factors, model.lambda);
+    for (const std::size_t shards : {1, 2, 3, 7}) {
+      for (const std::size_t replicas : {1, 2}) {
+        for (const std::size_t threads : {1, 2}) {
+          const Engine engine(CpModel(model),
+                              shardOpts(shards, replicas, threads));
+          EXPECT_EQ(engine.numShards(), shards);
+          SCOPED_TRACE(testing::Message()
+                       << "dims[0] " << model.dims[0] << " shards " << shards
+                       << " replicas " << replicas << " threads " << threads);
+          expectOracle(engine, model, 100 + shards * 10 + replicas);
+          // Point predictions gather rows across shards bit-identically.
+          std::size_t cell = 0;
+          for (Index i = 0; i < model.dims[0]; ++i) {
+            for (Index j = 0; j < model.dims[1]; ++j) {
+              for (Index l = 0; l < model.dims[2]; ++l) {
+                ASSERT_EQ(engine.predict({i, j, l}), dense[cell++]);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Engine, ResultIndependentOfThreadCount) {
+  // The shards of one query are scanned on the pool and share one floor;
+  // how many threads race on it must not change the answer.
   const CpModel model = randomModel({300, 25, 25}, 4, 13);
   const Engine one(model, 1);
   const Engine many(model, 8);
-  TopKOptions opts;
-  opts.blockRows = 32;
+  const Engine shardedOne(CpModel(model), shardOpts(5, 1, 1));
+  const Engine shardedMany(CpModel(model), shardOpts(5, 1, 8));
   for (ModeId mode = 0; mode < 3; ++mode) {
-    const TopKResult a = one.topK(mode, {1, 2, 3}, 12, opts);
-    const TopKResult b = many.topK(mode, {1, 2, 3}, 12, opts);
-    EXPECT_EQ(a.entries, b.entries) << "mode " << int(mode);
+    const TopKResult a = one.topK(mode, {1, 2, 3}, 12);
+    EXPECT_EQ(a.entries, many.topK(mode, {1, 2, 3}, 12).entries)
+        << "mode " << int(mode);
+    EXPECT_EQ(a.entries, shardedOne.topK(mode, {1, 2, 3}, 12).entries)
+        << "mode " << int(mode);
+    EXPECT_EQ(a.entries, shardedMany.topK(mode, {1, 2, 3}, 12).entries)
+        << "mode " << int(mode);
   }
 }
 
@@ -224,6 +299,7 @@ TEST(Engine, ValidatesQueriesAndModels) {
   CpModel shortLambda = randomModel({6, 5, 4}, 2, 1);
   shortLambda.lambda.pop_back();
   EXPECT_THROW(Engine(shortLambda, 1), Error);
+  EXPECT_THROW(Engine(CpModel(model), shardOpts(0, 1)), Error);
 }
 
 TEST(Engine, ExposesModelMetadata) {
@@ -235,6 +311,149 @@ TEST(Engine, ExposesModelMetadata) {
   EXPECT_EQ(engine.dims(), (std::vector<Index>{6, 5, 4}));
   EXPECT_EQ(engine.lambda(), model.lambda);
   EXPECT_EQ(engine.finalFit(), 0.25);
+}
+
+/// Every (mode, fixed, k) probe of a sharded engine must come back
+/// bit-identical to the unsharded one: same indices, same scores, same
+/// order, with pruning on or off.
+void expectParity(const Engine& single, const Engine& sharded,
+                  std::uint64_t seed) {
+  Pcg32 rng(seed);
+  const auto& dims = single.dims();
+  for (ModeId mode = 0; mode < single.order(); ++mode) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                std::size_t{1000}}) {
+      std::vector<Index> fixed(dims.size());
+      for (ModeId m = 0; m < single.order(); ++m) {
+        fixed[m] = rng.nextBounded(dims[m]);
+      }
+      const TopKResult a = single.topK(mode, fixed, k);
+      const TopKResult b = sharded.topK(mode, fixed, k);
+      ASSERT_EQ(a.entries, b.entries)
+          << "mode " << int(mode) << " k " << k;
+      TopKOptions noPrune;
+      noPrune.prune = false;
+      ASSERT_EQ(sharded.topK(mode, fixed, k, noPrune).entries, a.entries);
+    }
+  }
+}
+
+TEST(ShardedEngine, ScatterGatherMatchesSingleEngineBitForBit) {
+  const CpModel model = randomModel({50, 20, 20}, 3, 42);
+  const Engine single(CpModel(model), 2);
+  ASSERT_EQ(single.numShards(), 1u);
+  for (const std::size_t shards : {1, 2, 3, 7}) {
+    for (const std::size_t replicas : {1, 2}) {
+      const Engine sharded(CpModel(model), shardOpts(shards, replicas));
+      EXPECT_EQ(sharded.numShards(), shards);
+      expectParity(single, sharded, 100 + shards * 10 + replicas);
+    }
+  }
+}
+
+TEST(ShardedEngine, MoreShardsThanRowsStillMatches) {
+  const CpModel model = randomModel({5, 4, 3}, 2, 7);
+  const Engine single(CpModel(model), 1);
+  const Engine sharded(CpModel(model), shardOpts(7, 2));
+  expectParity(single, sharded, 9);
+}
+
+TEST(ShardedEngine, PredictMatchesSingleEngineBitForBit) {
+  const CpModel model = randomModel({30, 10, 12}, 4, 11);
+  const Engine single(CpModel(model), 1);
+  const Engine sharded(CpModel(model), shardOpts(3, 1));
+  Pcg32 rng(5);
+  for (int i = 0; i < 50; ++i) {
+    const std::vector<Index> q = {rng.nextBounded(30), rng.nextBounded(10),
+                                  rng.nextBounded(12)};
+    EXPECT_EQ(single.predict(q), sharded.predict(q));
+  }
+}
+
+TEST(ShardedEngine, ChainedDeclusteringPlacesCopiesOnDistinctNodes) {
+  const CpModel model = randomModel({40, 16, 16}, 2, 3);
+  const Engine e(CpModel(model), shardOpts(4, 2));
+  EXPECT_EQ(e.numNodes(), 4u);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(e.nodeOfCopy(s, 0), int(s));
+    EXPECT_EQ(e.nodeOfCopy(s, 1), int((s + 1) % 4));
+  }
+}
+
+TEST(ShardedEngine, NodeLossFailsOverToReplicaWithIdenticalResults) {
+  const CpModel model = randomModel({50, 20, 20}, 3, 21);
+  metrics::Registry reg;
+  EngineOptions o = shardOpts(4, 2);
+  o.liveMetrics = &reg;
+  const Engine sharded(CpModel(model), o);
+
+  sharded.killNode(1);
+  EXPECT_FALSE(sharded.nodeAlive(1));
+  // Shard 1 lost its primary, shard 0 lost its chained second copy; every
+  // query still answers exactly off the surviving replicas.
+  expectOracle(sharded, model, 77);
+  const EngineStats st = sharded.stats();
+  EXPECT_GE(st.failovers, 1u);
+  EXPECT_EQ(st.shedUnavailable, 0u);
+  EXPECT_EQ(st.deadNodes, 1u);
+  EXPECT_GE(reg.counter("serve_failover_total").value(), 1u);
+  EXPECT_EQ(reg.gauge("serve_shards").value(), 4.0);
+  EXPECT_EQ(reg.gauge("serve_nodes_dead").value(), 1.0);
+}
+
+TEST(ShardedEngine, UnreplicatedShardLossShedsWithTypedError) {
+  // Two shards, and the unsharded engine: one shard on one node.
+  const CpModel model = randomModel({50, 20, 20}, 3, 33);
+  for (const std::size_t shards : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "shards " << shards);
+    const Engine sharded(CpModel(model), shardOpts(shards, 1));
+    sharded.killNode(0);
+    const std::vector<Index> fixed = {0, 1, 1};
+    EXPECT_THROW(sharded.topK(0, fixed, 5), ShedError);
+    EXPECT_GE(sharded.stats().shedUnavailable, 1u);
+    // Revival restores exact service.
+    sharded.reviveNode(0);
+    EXPECT_EQ(sharded.topK(0, fixed, 5).entries,
+              bruteForceTopK(model, 0, fixed, 5));
+  }
+}
+
+TEST(ShardedEngine, CensusHotRowsPromoteTheirShardToAnExtraReplica) {
+  const CpModel model = randomModel({40, 16, 16}, 2, 13);
+  EngineOptions o = shardOpts(4, 1);
+  o.hotShardFactor = 2.0;
+  // Mode-0 heavy hitters all land on shard 0 (rows = 0 mod 4); the other
+  // shards see only background weight.
+  o.loadHints.resize(3);
+  o.loadHints[0] = {{0, 1000}, {4, 800}, {8, 600}};
+  o.loadHints[1] = {{1, 50}, {2, 40}, {3, 30}};
+  const Engine e(CpModel(model), o);
+  EXPECT_EQ(e.replicasOf(0), 2u);
+  EXPECT_EQ(e.replicasOf(1), 1u);
+  EXPECT_EQ(e.replicasOf(2), 1u);
+  EXPECT_EQ(e.replicasOf(3), 1u);
+  const EngineStats st = e.stats();
+  EXPECT_EQ(st.hotShards, 1u);
+  EXPECT_EQ(st.totalReplicas, 5u);
+  // The promoted shard now survives its primary's death.
+  e.killNode(0);
+  const std::vector<Index> fixed = {0, 1, 1};
+  EXPECT_EQ(e.topK(1, fixed, 5).entries, bruteForceTopK(model, 1, fixed, 5));
+}
+
+TEST(ShardedEngine, FaultPlanKillsDeterministicallyAtBatchBoundaries) {
+  const CpModel model = randomModel({50, 20, 20}, 3, 55);
+  EngineOptions o = shardOpts(4, 2);
+  o.faults.schedule = {{3, 1}};  // after batch 3, node 1 dies
+  const Engine sharded(CpModel(model), o);
+
+  for (std::uint64_t batch = 1; batch <= 5; ++batch) {
+    sharded.noteBatchBoundary(batch);
+    EXPECT_EQ(sharded.nodeAlive(1), batch < 3) << "batch " << batch;
+  }
+  EXPECT_EQ(sharded.stats().nodesKilled, 1u);
+  // Replicated shards keep answering exactly after the planned loss.
+  expectOracle(sharded, model, 99);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Per-partition task records, skew statistics, and the metrics CSV.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,36 @@ TEST(TaskRecords, ResultStageRecordsOneTaskPerPartition) {
   }
   EXPECT_EQ(records, s->work.recordsProcessed);
   EXPECT_GT(records, 0u);
+}
+
+TEST(TaskRecords, StageWallsSumWithinTheActionWall) {
+  // A result stage materializes its parent shuffle first, as a stage of
+  // its own; its clock must start after that, or the shuffle's wall time
+  // is counted twice and stage walls cannot be summed into a breakdown.
+  Context ctx(cfgNodes(4), 2);
+  std::vector<KV> data;
+  data.reserve(200000);
+  for (std::uint32_t i = 0; i < 200000; ++i) {
+    data.push_back({i % 5000, double(i)});
+  }
+  const auto rdd = parallelize(ctx, data, 8).reduceByKey(
+      [](const double& a, const double& b) { return a + b; });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(rdd.collect().size(), 5000u);
+  const double actionWall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+
+  double shuffleWall = 0.0;
+  double resultWall = 0.0;
+  for (const StageMetrics& s : ctx.metrics().stages()) {
+    if (s.kind == StageKind::kShuffle) shuffleWall += s.wallTimeSec;
+    if (s.kind == StageKind::kResult) resultWall += s.wallTimeSec;
+  }
+  EXPECT_GT(shuffleWall, 0.0);
+  EXPECT_GT(resultWall, 0.0);
+  EXPECT_LE(shuffleWall + resultWall, actionWall + 1e-3)
+      << "shuffle " << shuffleWall << " s, result " << resultWall << " s";
 }
 
 TEST(TaskRecords, MapTaskShuffleBytesSumToStageTotals) {

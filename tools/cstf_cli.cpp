@@ -73,8 +73,8 @@
 //                   submits shed with ShedError; 0 = unbounded (default)
 //   --deadline-us T per-request deadline; requests still queued after T
 //                   microseconds shed with DeadlineExceededError (default 0)
-//   --shards S      serve through a ShardedEngine with S row-wise shards
-//                   (0 = single-process engine, the default)
+//   --shards S      split the model into S row-wise shards (default: one
+//                   unsharded engine)
 //   --replicas R    copies per shard, placed by chained declustering;
 //                   hot shards (Zipf-census heavy rows) get one extra
 //   --kill-node N   fault injection: kill serving node N...
@@ -145,7 +145,6 @@
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
 #include "serve/model.hpp"
-#include "serve/sharded_engine.hpp"
 #include "stream/delta_log.hpp"
 #include "stream/online_updater.hpp"
 #include "stream/publisher.hpp"
@@ -996,34 +995,25 @@ int cmdServeBench(const Args& a) {
   }
   const ZipfSampler zipf(static_cast<std::uint32_t>(a.distinct), a.zipf);
 
-  // With --shards the model serves through a ShardedEngine; otherwise the
-  // single-process Engine. The Zipf law over the request universe doubles
-  // as the frequency census: each tuple's fixed rows carry its expected
-  // hit weight, so the shards owning the hot rows earn an extra replica.
-  std::shared_ptr<const serve::TopKProvider> provider;
-  std::shared_ptr<const serve::ShardedEngine> sharded;
-  if (a.shards > 0) {
-    serve::ShardedEngineOptions so;
-    so.numShards = a.shards;
-    so.numReplicas = a.replicas;
-    if (a.killNode >= 0) {
-      so.faults.schedule.push_back({a.killAfter, a.killNode});
+  // --shards splits the model row-wise (no flag serves it unsharded). The
+  // Zipf law over the request universe doubles as the frequency census:
+  // each tuple's fixed rows carry its expected hit weight, so the shards
+  // owning the hot rows earn an extra replica.
+  serve::EngineOptions eo;
+  eo.numShards = std::max<std::size_t>(1, a.shards);
+  eo.numReplicas = a.replicas;
+  if (a.killNode >= 0) eo.faults.schedule.push_back({a.killAfter, a.killNode});
+  eo.loadHints.resize(order);
+  for (std::size_t u = 0; u < universe.size(); ++u) {
+    const auto weight = static_cast<std::uint64_t>(
+        1e9 / std::pow(static_cast<double>(u + 1), a.zipf));
+    if (weight == 0) continue;
+    for (ModeId m = 0; m < order; ++m) {
+      if (m != mode) eo.loadHints[m].push_back({universe[u].fixed[m], weight});
     }
-    so.loadHints.resize(order);
-    for (std::size_t u = 0; u < universe.size(); ++u) {
-      const auto weight = static_cast<std::uint64_t>(
-          1e9 / std::pow(static_cast<double>(u + 1), a.zipf));
-      if (weight == 0) continue;
-      for (ModeId m = 0; m < order; ++m) {
-        if (m != mode) so.loadHints[m].push_back({universe[u].fixed[m], weight});
-      }
-    }
-    sharded =
-        std::make_shared<const serve::ShardedEngine>(std::move(model), so);
-    provider = sharded;
-  } else {
-    provider = std::make_shared<const serve::Engine>(std::move(model));
   }
+  const auto engine =
+      std::make_shared<const serve::Engine>(std::move(model), std::move(eo));
 
   serve::BatcherOptions opts;
   opts.maxBatch = a.maxBatch ? a.maxBatch : a.clients;
@@ -1032,7 +1022,7 @@ int cmdServeBench(const Args& a) {
   opts.sloP99Micros = a.sloP99Us;
   opts.queueLimit = a.queueLimit;
   opts.deadlineMicros = a.deadlineUs;
-  serve::Batcher batcher(provider, opts);
+  serve::Batcher batcher(engine, opts);
 
   // --follow: poll the delta log, apply new batches, and hot-swap the
   // refreshed model into the batcher every --publish-every batches. The
@@ -1161,12 +1151,12 @@ int cmdServeBench(const Args& a) {
   }
 
   const serve::ServeStats stats = batcher.stats();
-  serve::ShardedStats shardStats;
-  if (sharded) shardStats = sharded->stats();
+  const serve::EngineStats engineStats = engine->stats();
   serve::FreshnessStats fresh;
   if (publisher) fresh = publisher->freshness();
   const std::string report = serve::serveReportJson(
-      stats, sharded ? &shardStats : nullptr, publisher ? &fresh : nullptr);
+      stats, a.shards > 0 ? &engineStats : nullptr,
+      publisher ? &fresh : nullptr);
   std::printf("%s\n", report.c_str());
   if (publisher) {
     const stream::OnlineUpdateStats& us = updater->stats();
@@ -1186,7 +1176,7 @@ int cmdServeBench(const Args& a) {
                static_cast<unsigned long long>(stats.submitted),
                static_cast<unsigned long long>(stats.shedTotal()),
                static_cast<unsigned long long>(stats.failed),
-               static_cast<unsigned long long>(shardStats.failovers));
+               static_cast<unsigned long long>(engineStats.failovers));
   if (heartbeat) heartbeat->stop();
   if (!a.reportOut.empty()) {
     if (!writeArtifact(a.reportOut, report, "serve report")) {
